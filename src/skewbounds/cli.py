@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds_product import BoundInputPair, bound_ik
-from .bounds_sum import bound_b2_cell, bound_b2_max, sampled_matrix
+from .bounds_sum import bound_b2_cell, bound_b2_max
 from .errors import (
     ChainViolationError,
     CrossCheckError,
@@ -375,13 +375,10 @@ def _reproduce_sum_example(number: int, steps: int, named_cells) -> tuple[dict, 
     scenario = builtin_example(number)
     sweep = run_sweep(scenario, steps=steps, bounds=["total", "B2", "LMa"])
     cols = dict(sweep.columns)
-    # named two-cell bounds and the true argmax, recomputed per point
+    # named two-cell bounds and the true argmax at each point of the sweep
     named_series = {cells: [] for cells in named_cells}
     argmax_counts: dict = {}
-    for theta in cols["theta"]:
-        rho = scenario.state_at(float(theta))
-        gf = gamma_matrix(rho, scenario.p)
-        samples = sampled_matrix(gf, scenario.observables)
+    for samples in sweep.samples:
         for cells in named_cells:
             named_series[cells].append(bound_b2_cell(samples, *cells).value)
         best = bound_b2_max(samples)

@@ -26,10 +26,12 @@ import numpy as np
 
 from .bounds_product import (
     BoundInputPair,
+    BoundResult,
     bound_ik,
     bound_k_prefix,
     bound_spq,
     chain_report,
+    convex_combo,
 )
 from .bounds_sum import SampledMatrix, bound_b2_max, bound_b2_q, bound_lma, sampled_matrix
 from .errors import UnknownExampleError
@@ -176,6 +178,7 @@ _SPQ_RE = re.compile(r"^S_(\d+)_(\d+)$")
 _KK_RE = re.compile(r"^K_(\d+)$")
 
 ALWAYS_COLUMNS = ("product", "corr_sq")
+_REPORT_SCALARS = {"product": 0, "corr_abs_sq": -2, "corr_sq": -1}  # positions in chain_report
 
 
 def default_bounds(scenario: Scenario) -> list[str]:
@@ -204,43 +207,43 @@ class SweepResult:
     scenario_label: str
     thetas: np.ndarray
     columns: dict[str, np.ndarray]
-
-    @property
-    def column_names(self) -> list[str]:
-        return list(self.columns)
+    samples: tuple[SampledMatrix, ...]
 
 
 def _bound_value(
     name: str,
     pair: BoundInputPair,
+    report: Sequence[BoundResult],
     samples: SampledMatrix,
     q: float,
     strategy: SearchStrategy | None,
 ) -> float:
+    # identity-parameter chain members are read off the point's chain_report
+    # (product, I_1..I_n, S chain, K_1..K_n, corr_abs_sq, corr_sq); indices
+    # outside it go to the bound functions, which reject what is out of range
+    n = pair.n
     m = _IK_RE.match(name)
     if m:
         k = int(m.group(1))
         if strategy is not None:
             return best_ik(pair, k, strategy).best.value
-        return bound_ik(pair, k).value
+        return report[k].value if 1 <= k <= n else bound_ik(pair, k).value
     m = _SPQ_RE.match(name)
     if m:
         p_idx, q_idx = int(m.group(1)), int(m.group(2))
         if strategy is not None:
             return best_spq(pair, p_idx, q_idx, strategy).best.value
+        if 1 <= q_idx < p_idx <= n:
+            return report[n + (p_idx - 1) * (p_idx - 2) // 2 + q_idx].value
         return bound_spq(pair, p_idx, q_idx).value
     m = _KK_RE.match(name)
     if m:
         k = int(m.group(1))
         if strategy is not None:
             return best_k(pair, k, strategy).best.value
-        return bound_k_prefix(pair, k).value
-    if name == "product":
-        return pair.product
-    if name == "corr_sq":
-        return pair.corr_sq
-    if name == "corr_abs_sq":
-        return pair.corr_abs_sq
+        return report[k - n - 3].value if 1 <= k <= n else bound_k_prefix(pair, k).value
+    if name in _REPORT_SCALARS:
+        return report[_REPORT_SCALARS[name]].value
     if name == "total":
         return samples.total
     if name == "B2":
@@ -252,15 +255,6 @@ def _bound_value(
     raise ValueError(f"unknown bound name {name!r}")
 
 
-def _kmix_value(pair: BoundInputPair, weights: Sequence[float]) -> float:
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.shape[0] < 1 or w.shape[0] > pair.n:
-        raise ValueError(f"mixture needs 1..{pair.n} weights, got shape {w.shape}")
-    if np.min(w) < 0.0 or abs(float(np.sum(w)) - 1.0) > 1e-12:
-        raise ValueError("mixture weights must be nonnegative and sum to 1")
-    return float(sum(wk * bound_k_prefix(pair, k + 1).value for k, wk in enumerate(w) if wk != 0.0))
-
-
 def evaluate_point(
     scenario: Scenario,
     theta: float,
@@ -270,24 +264,31 @@ def evaluate_point(
     kmix: Sequence[float] | None = None,
     cross_check: bool = True,
 ) -> PointEvaluation:
-    """Evaluate the requested bounds at one angle, with inline chain checks."""
+    """Evaluate the requested bounds at one angle, with inline chain checks.
+
+    The chain is evaluated once, by chain_report at O(n^2) for n = d^2; the
+    identity-parameter columns and the K mixture are read off its result.
+    """
     rho = scenario.state_at(theta)
     gf = gamma_matrix(rho, scenario.p, cross_check=cross_check)
     obs = scenario.observables
     a, b = (obs[0], obs[1]) if len(obs) >= 2 else (obs[0], obs[0])
     pair = BoundInputPair.from_observables(gf, a, b)
-    chain_report(pair)  # ordering invariants checked on every evaluation
+    report = chain_report(pair)  # ordering invariants checked on every evaluation
     samples = sampled_matrix(gf, obs)
     values: dict[str, float] = {"theta": theta}
     for name in ALWAYS_COLUMNS:
-        values[name] = _bound_value(name, pair, samples, q, None)
+        values[name] = _bound_value(name, pair, report, samples, q, None)
     for name in bounds:
         if name in values:
             continue
-        values[name] = _bound_value(name, pair, samples, q, strategy)
+        values[name] = _bound_value(name, pair, report, samples, q, strategy)
     weights = kmix if kmix is not None else scenario.kmix_weights
     if weights is not None:
-        values[kmix_label(weights)] = _kmix_value(pair, weights)
+        if not 1 <= len(weights) <= pair.n:
+            raise ValueError(f"mixture needs 1..{pair.n} weights, got {len(weights)}")
+        k_prefix = report[-pair.n - 2 : -pair.n - 2 + len(weights)]
+        values[kmix_label(weights)] = convex_combo(k_prefix, weights).value
     return PointEvaluation(theta=theta, pair=pair, samples=samples, values=values)
 
 
@@ -315,4 +316,4 @@ def run_sweep(
     ]
     names = list(rows[0].values)
     columns = {name: np.array([r.values[name] for r in rows]) for name in names}
-    return SweepResult(scenario_label=scenario.label, thetas=grid, columns=columns)
+    return SweepResult(scenario.label, grid, columns, tuple(r.samples for r in rows))

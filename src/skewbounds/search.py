@@ -196,8 +196,9 @@ def best_spq(
 def best_k(pair: BoundInputPair, k: int, strategy: SearchStrategy = SearchStrategy()) -> SearchOutcome:
     """Maximize the two-block bound over all k-element subsets (always exact).
 
-    The candidate count C(n, k) stays under the guard for every supported n,
-    so the strategy kind only matters for the permutation families.  Block
+    The strategy is ignored: every C(n, k) subsets are enumerated, and a
+    count over the guard raises SpaceTooLargeError whatever the strategy.
+    That happens from d = 5 on (C(25, 12) is about 5.2 million).  Block
     sums for a subset and its complement are formed by masked sums of the
     same addends, making the size-k and size-(n-k) maxima bit-identical.
     """

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_bound_pair
 from skewbounds import (
     BoundInputPair,
+    BoundResult,
     bound_ik,
     bound_ik_perm,
     bound_k_prefix,
@@ -169,6 +170,21 @@ def test_convex_combo_linearity():
         convex_combo(members, (0.5, 0.5))
     with pytest.raises(ValueError):
         convex_combo(members, (0.7, 0.4, -0.1))
+    with pytest.raises(ValueError):
+        convex_combo(members, (float("nan"), 0.5, 0.5))
+
+
+def test_convex_combo_adds_left_to_right():
+    # the K-mixture columns were always summed in weight order; keep their bits
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        values = rng.uniform(0.0, 10.0, 12)
+        weights = rng.dirichlet(np.ones(12))
+        expected = 0
+        for wk, v in zip(weights, values):
+            expected += wk * float(v)
+        members = [BoundResult("K", float(v)) for v in values]
+        assert convex_combo(members, weights).value == expected
 
 
 def test_chain_report_structure_and_order():
@@ -191,3 +207,26 @@ def test_chain_report_runs_clean_on_random_pairs():
     for seed in range(10):
         for dim in (2, 3):
             chain_report(random_bound_pair(seed, dim))
+
+
+def _reference_s_chain(pair):
+    """Plain Python walk over chain_pairs, one Lagrange term at a time."""
+    x, y = pair.x.tolist(), pair.y.tolist()
+    total = pair.product
+    chain = []
+    for p, q in chain_pairs(pair.n):
+        cross = x[p - 1] * y[q - 1] - x[q - 1] * y[p - 1]
+        total -= cross * cross
+        chain.append(total)
+    return chain
+
+
+def test_s_chain_fold_matches_reference_walk_bitwise():
+    for dim in range(2, 7):
+        for seed in range(3):
+            pair = random_bound_pair(100 + seed, dim)
+            expected = _reference_s_chain(pair)
+            members = [r for r in chain_report(pair) if r.family == "S"]
+            assert [(r.params["p"], r.params["q"]) for r in members] == chain_pairs(pair.n)
+            assert [r.value for r in members] == expected
+            assert [bound_spq(pair, p, q).value for p, q in chain_pairs(pair.n)] == expected

@@ -7,7 +7,11 @@ import pytest
 from skewbounds import (
     ScenarioParseError,
     UnknownExampleError,
+    bound_ik,
+    bound_k_prefix,
+    bound_spq,
     builtin_example,
+    convex_combo,
     dump_scenario,
     evaluate_point,
     kmix_label,
@@ -16,7 +20,8 @@ from skewbounds import (
     random_instance,
     run_sweep,
 )
-from skewbounds.metric import PAULI_X, PAULI_Z
+from skewbounds.bounds_sum import sampled_matrix
+from skewbounds.metric import PAULI_X, PAULI_Z, gamma_matrix
 from skewbounds.reports import emit_csv, format_value
 from skewbounds.scenarios import default_bounds
 from skewbounds.svgchart import render_line_chart
@@ -87,6 +92,43 @@ def test_evaluate_point_kmix_validation():
         evaluate_point(sc, 0.3, [], kmix=(0.5, 0.2))
     pt = evaluate_point(sc, 0.3, [], kmix=(0.5, 0.5))
     assert "K_(0.5,0.5)" in pt.values
+
+
+def test_evaluate_point_columns_match_standalone_bounds_bitwise():
+    weights = (0.25, 0.25, 0.5)
+    for dim in (2, 3, 5):
+        n = dim * dim
+        sc = random_instance(dim, seed=dim)
+        names = ["I_2", f"I_{n}", "S_3_1", f"S_{n}_{n - 1}", "K_2", "corr_abs_sq"]
+        pt = evaluate_point(sc, 0.0, names, kmix=weights)
+        pair = pt.pair
+        assert pt.values["I_2"] == bound_ik(pair, 2).value
+        assert pt.values[f"I_{n}"] == bound_ik(pair, n).value
+        assert pt.values["S_3_1"] == bound_spq(pair, 3, 1).value
+        assert pt.values[f"S_{n}_{n - 1}"] == bound_spq(pair, n, n - 1).value
+        assert pt.values["K_2"] == bound_k_prefix(pair, 2).value
+        assert pt.values["corr_abs_sq"] == pair.corr_abs_sq
+        mix = convex_combo([bound_k_prefix(pair, k) for k in (1, 2, 3)], weights)
+        assert pt.values[kmix_label(weights)] == mix.value
+
+
+def test_evaluate_point_rejects_out_of_range_columns():
+    sc = random_instance(2, seed=5)
+    n = 4
+    for name in ("I_0", f"I_{n + 1}", "S_2_2", f"S_{n + 1}_1", f"K_{n + 1}"):
+        with pytest.raises(ValueError):
+            evaluate_point(sc, 0.0, [name])
+    with pytest.raises(ValueError, match=f"1..{n} weights"):
+        evaluate_point(sc, 0.0, [], kmix=(0.2,) * 5)
+
+
+def test_run_sweep_keeps_each_points_samples():
+    sc = builtin_example(3)
+    res = run_sweep(sc, steps=3)
+    assert len(res.samples) == 3
+    for theta, samples in zip(res.thetas, res.samples):
+        expected = sampled_matrix(gamma_matrix(sc.state_at(float(theta)), sc.p), sc.observables)
+        assert np.array_equal(samples.values, expected.values)
 
 
 def test_run_sweep_grid():
