@@ -18,6 +18,7 @@ bound names; permutations are 0-based index tuples acting by reindexing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -35,6 +36,8 @@ def _as_coord_vector(v) -> np.ndarray:
     a = np.asarray(v, dtype=np.float64)
     if a.ndim != 1 or a.shape[0] < 1:
         raise ValueError(f"coordinate vector must be 1-d and nonempty, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("sampled coordinates must be finite")
     if np.min(a) < 0.0:
         raise ValueError("sampled coordinates must be nonnegative")
     a = np.ascontiguousarray(a)
@@ -59,10 +62,15 @@ class BoundInputPair:
         object.__setattr__(self, "y", _as_coord_vector(self.y))
         if self.x.shape != self.y.shape:
             raise ValueError(f"length mismatch: x has {self.x.shape[0]}, y has {self.y.shape[0]}")
-        slack = PAIR_CONSISTENCY_TOL * (1.0 + self.product)
-        if self.corr_abs_sq > self.product + slack:
+        product = self.product
+        if not math.isfinite(product):
+            raise ValueError("product (sum x^2)(sum y^2) overflows")
+        if not math.isfinite(self.corr_sq):
+            raise ValueError(f"corr_sq must be finite, got {self.corr_sq!r}")
+        slack = PAIR_CONSISTENCY_TOL * (1.0 + product)
+        if self.corr_abs_sq > product + slack:
             raise ValueError(
-                f"corr_abs_sq {self.corr_abs_sq:.12g} exceeds product {self.product:.12g}"
+                f"corr_abs_sq {self.corr_abs_sq:.12g} exceeds product {product:.12g}"
             )
         if self.corr_sq > self.corr_abs_sq + slack:
             raise ValueError(

@@ -6,7 +6,8 @@ distinct indices for each side rather than whole permutation groups.  When
 that reduced space exceeds the enumeration guard, seeded sampling plus
 greedy adjacent-transposition hill climbing takes over.  Every search seeds
 its candidate list with the identity, so the returned best is never worse
-than the unpermuted bound.
+than the unpermuted bound.  Candidates are scored in numpy batches of
+bounded size, with the same bits and tie-breaks as one at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb, perm
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,16 +49,26 @@ class SearchOutcome:
 
 
 def _full_perm(prefix: Sequence[int], n: int) -> tuple[int, ...]:
-    rest = [i for i in range(n) if i not in set(prefix)]
+    chosen = set(prefix)
+    rest = [i for i in range(n) if i not in chosen]
     return tuple(prefix) + tuple(rest)
 
 
-def _prefix_value(x: np.ndarray, y: np.ndarray, product: float, a, b, pair_mask: np.ndarray) -> float:
-    xa = x[np.array(a, dtype=np.intp)]
-    yb = y[np.array(b, dtype=np.intp)]
-    cross = np.outer(xa, yb)
-    terms = (cross - cross.T) ** 2
-    return product - float(np.sum(terms[pair_mask]))
+# Cap on the candidate x term elements scored in one batch.  At 2**12 the
+# arrays of a batch take a few hundred KB; 2**14 searched no faster at
+# d = 3..4 and raised peak RSS by over 1 MB.
+_BATCH_ELEMENTS = 2**12
+
+
+def _batches(count: int, term_count: int) -> Iterator[tuple[int, int]]:
+    """Ranges [lo, hi) of candidates 0..count-1, one scored batch each.
+
+    A batch holds at most _BATCH_ELEMENTS candidate x term elements, or one
+    candidate when a single one has more terms than that.
+    """
+    step = max(1, _BATCH_ELEMENTS // max(1, term_count))
+    for lo in range(0, count, step):
+        yield lo, min(lo + step, count)
 
 
 def _ik_mask(k: int) -> np.ndarray:
@@ -73,6 +84,58 @@ def _spq_mask(p_idx: int, q_idx: int) -> np.ndarray:
     return mask
 
 
+_Rows = Callable[[int, int], tuple[np.ndarray, np.ndarray]]
+
+
+class _PrefixObjective:
+    """product - sum of the masked terms (x_a[i] y_b[j] - x_a[j] y_b[i])^2.
+
+    A candidate is a pair of index prefixes, a for x and b for y.  Its terms
+    are taken in the row-major order of the mask and summed by a contiguous
+    row reduction, exactly as np.sum sums one candidate's term vector, so
+    batched values, and the tie-breaks they decide, are bit-identical to
+    scoring the candidates one at a time.
+    """
+
+    def __init__(self, pair: BoundInputPair, pair_mask: np.ndarray) -> None:
+        self.x, self.y, self.product = pair.x, pair.y, pair.product
+        self.ti, self.tj = np.nonzero(pair_mask)
+
+    def values(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        xa, yb = self.x[a], self.y[b]
+        cross = xa[:, self.ti] * yb[:, self.tj] - xa[:, self.tj] * yb[:, self.ti]
+        # fancy indexing leaves the terms strided; a strided row sum differs
+        # from np.sum in the last bit once a row has 9 or more terms
+        terms = np.ascontiguousarray(cross**2)
+        return self.product - terms.sum(axis=-1)
+
+    def first_max(self, rows: _Rows, count: int) -> tuple[int, float]:
+        """Index and value of the first maximum over candidates 0..count-1.
+
+        rows(lo, hi) returns the prefix arrays (a, b) of candidates lo..hi-1.
+        """
+        best_i, best_v = 0, None
+        for lo, hi in _batches(count, self.ti.size):
+            v = self.values(*rows(lo, hi))
+            i = int(np.argmax(v))  # first max within the batch
+            if best_v is None or v[i] > best_v:  # strict: an earlier batch keeps a tie
+                best_i, best_v = lo + i, float(v[i])
+        return best_i, best_v
+
+
+def _stacked(a: np.ndarray, b: np.ndarray) -> _Rows:
+    return lambda lo, hi: (a[lo:hi], b[lo:hi])
+
+
+def _swapped(order: np.ndarray) -> np.ndarray:
+    """Row t is order with positions t and t + 1 exchanged, t = 0..n-2."""
+    t = np.arange(order.size - 1)
+    trials = np.tile(order, (order.size - 1, 1))
+    trials[t, t] = order[1:]
+    trials[t, t + 1] = order[:-1]
+    return trials
+
+
 def _search_prefix(
     pair: BoundInputPair,
     depth: int,
@@ -84,14 +147,13 @@ def _search_prefix(
     """Shared engine for I_k and S_(p,q) permutation search.
 
     depth is how many leading positions of each permutation the objective
-    reads; pair_mask selects which cross terms are subtracted.
+    reads; pair_mask selects which cross terms are subtracted.  Candidates are
+    scored in bounded batches, and each path keeps the first maximum in the
+    order it lists its candidates.
     """
     n = pair.n
-    x, y, product = pair.x, pair.y, pair.product
+    objective = _PrefixObjective(pair, pair_mask)
     space = perm(n, depth) ** 2
-
-    def evaluate(a, b) -> float:
-        return _prefix_value(x, y, product, a, b, pair_mask)
 
     def outcome(a, b, value, evals, certified) -> SearchOutcome:
         params = dict(base_params)
@@ -103,8 +165,6 @@ def _search_prefix(
             certified_exact=certified,
         )
 
-    identity = tuple(range(depth))
-
     if strategy.kind == "exhaustive" and space > EXHAUSTIVE_GUARD:
         raise SpaceTooLargeError(
             f"exhaustive search over {space} candidates exceeds the {EXHAUSTIVE_GUARD} guard"
@@ -114,61 +174,50 @@ def _search_prefix(
         EXHAUSTIVE_GUARD if strategy.kind in ("exhaustive", "hybrid") else strategy.sample_count
     )
     if strategy.kind != "greedy_swap" and enumerable:
-        best_val = None
-        best_ab = None
-        evals = 0
-        for a in permutations(range(n), depth):
-            for b in permutations(range(n), depth):
-                v = evaluate(a, b)
-                evals += 1
-                if best_val is None or v > best_val:  # first max wins: lexicographic tie-break
-                    best_val = v
-                    best_ab = (a, b)
-        return outcome(best_ab[0], best_ab[1], best_val, evals, True)
+        # candidate c pairs prefix c // P for x with prefix c % P for y: the
+        # lexicographic order of (a, b) over permutations(range(n), depth)
+        prefixes = np.array(list(permutations(range(n), depth)), dtype=np.intp)
 
+        def rows(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+            a, b = np.divmod(np.arange(lo, hi), len(prefixes))
+            return prefixes[a], prefixes[b]
+
+        best, value = objective.first_max(rows, space)
+        a, b = divmod(best, len(prefixes))
+        return outcome(prefixes[a].tolist(), prefixes[b].tolist(), value, space, True)
+
+    # the identity first, then one sigma and one tau draw per sample
     rng = np.random.default_rng(strategy.seed)
-    candidates: list[tuple[tuple[int, ...], tuple[int, ...]]] = [(identity, identity)]
-    if strategy.kind != "greedy_swap":
-        for _ in range(strategy.sample_count):
-            sigma = tuple(int(i) for i in rng.permutation(n))
-            tau = tuple(int(i) for i in rng.permutation(n))
-            candidates.append((sigma[:depth], tau[:depth]))
-
-    evals = 0
-    best_val = None
-    full_best = None
-    for a, b in candidates:
-        v = evaluate(a, b)
-        evals += 1
-        if best_val is None or v > best_val:
-            best_val = v
-            full_best = (_full_perm(a, n), _full_perm(b, n))
+    evals = 1 if strategy.kind == "greedy_swap" else strategy.sample_count + 1
+    a = np.empty((evals, depth), dtype=np.intp)
+    b = np.empty_like(a)
+    a[0] = b[0] = np.arange(depth)
+    for i in range(1, evals):
+        a[i] = rng.permutation(n)[:depth]
+        b[i] = rng.permutation(n)[:depth]
+    best, best_val = objective.first_max(_stacked(a, b), evals)
     if strategy.kind == "random_sample":
-        return outcome(full_best[0][:depth], full_best[1][:depth], best_val, evals, False)
+        return outcome(a[best].tolist(), b[best].tolist(), best_val, evals, False)
 
-    # steepest-ascent hill climbing over adjacent transpositions
-    sigma, tau = full_best
+    # steepest-ascent hill climbing over adjacent transpositions, from the
+    # best candidate completed in index order: trials 0..n-2 swap within
+    # sigma, trials n-1..2n-3 within tau
+    sigma = np.array(_full_perm(a[best].tolist(), n))
+    tau = np.array(_full_perm(b[best].tolist(), n))
     for _ in range(strategy.swap_rounds):
-        step_val = best_val
-        step_state = None
-        for which in (0, 1):
-            base = sigma if which == 0 else tau
-            for i in range(n - 1):
-                trial = list(base)
-                trial[i], trial[i + 1] = trial[i + 1], trial[i]
-                trial_t = tuple(trial)
-                a = (trial_t if which == 0 else sigma)[:depth]
-                b = (tau if which == 0 else trial_t)[:depth]
-                v = evaluate(a, b)
-                evals += 1
-                if v > step_val:
-                    step_val = v
-                    step_state = (trial_t, tau) if which == 0 else (sigma, trial_t)
-        if step_state is None:
+        sigma_trials, tau_trials = _swapped(sigma), _swapped(tau)
+        a = np.concatenate([sigma_trials[:, :depth], np.tile(sigma[:depth], (n - 1, 1))])
+        b = np.concatenate([np.tile(tau[:depth], (n - 1, 1)), tau_trials[:, :depth]])
+        step, step_val = objective.first_max(_stacked(a, b), 2 * (n - 1))
+        evals += 2 * (n - 1)
+        if not step_val > best_val:
             break
         best_val = step_val
-        sigma, tau = step_state
-    return outcome(sigma[:depth], tau[:depth], best_val, evals, False)
+        if step < n - 1:
+            sigma = sigma_trials[step]
+        else:
+            tau = tau_trials[step - (n - 1)]
+    return outcome(sigma[:depth].tolist(), tau[:depth].tolist(), best_val, evals, False)
 
 
 def best_ik(pair: BoundInputPair, k: int, strategy: SearchStrategy = SearchStrategy()) -> SearchOutcome:

@@ -31,6 +31,20 @@ def test_pair_validation():
         BoundInputPair.from_vectors([1.0, 2.0], [3.0, 1.0], corr_sq=1000.0)
 
 
+def test_pair_rejects_non_finite_inputs():
+    nan, inf = float("nan"), float("inf")
+    for x in ([nan, 1.0, 2.0], [inf, 1.0, 2.0], [1.0, -inf, 2.0]):
+        with pytest.raises(ValueError, match="finite"):
+            BoundInputPair.from_vectors(x, [1.0, 1.0, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            BoundInputPair.from_vectors([1.0, 1.0, 0.5], x)
+    for corr_sq in (nan, inf, -inf):
+        with pytest.raises(ValueError, match="finite"):
+            BoundInputPair(x=[1.0, 2.0], y=[3.0, 1.0], corr_sq=corr_sq)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+        BoundInputPair(x=[1e200, 1.0], y=[1e200, 1.0], corr_sq=1.0)
+
+
 def test_pair_scalar_invariants():
     pair = BoundInputPair.from_vectors([1.0, 2.0], [3.0, 1.0])
     assert pair.n == 2

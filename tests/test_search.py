@@ -1,6 +1,11 @@
+from itertools import permutations
+from math import perm
+
+import numpy as np
 import pytest
 
 from conftest import random_bound_pair
+from skewbounds import search
 from skewbounds import (
     BoundInputPair,
     SearchStrategy,
@@ -13,6 +18,7 @@ from skewbounds import (
     bound_k_prefix,
     bound_spq,
 )
+from skewbounds.bounds_product import BoundResult
 
 
 def small_pair():
@@ -117,3 +123,230 @@ def test_best_over_family():
     assert out_k.best.value >= best_k(pair, 1).best.value
     with pytest.raises(ValueError):
         best_over_family(pair, "Z", strat)
+
+
+# --- the scalar search the batched engine must match bit for bit ----------
+
+
+def _reference_value(pair, a, b, pair_mask):
+    xa = pair.x[np.array(a, dtype=np.intp)]
+    yb = pair.y[np.array(b, dtype=np.intp)]
+    cross = np.outer(xa, yb)
+    terms = (cross - cross.T) ** 2
+    return pair.product - float(np.sum(terms[pair_mask]))
+
+
+def _reference_search(pair, depth, pair_mask, strategy, family, base_params):
+    """One Python call per candidate, in the order the search lists them."""
+    n = pair.n
+    space = perm(n, depth) ** 2
+
+    def full(prefix, n):
+        return tuple(prefix) + tuple(i for i in range(n) if i not in prefix)
+
+    def evaluate(a, b):
+        return _reference_value(pair, a, b, pair_mask)
+
+    def outcome(a, b, value, evals, certified):
+        params = dict(base_params, sigma=full(a, n), tau=full(b, n))
+        return search.SearchOutcome(BoundResult(family, value, params), evals, certified)
+
+    if strategy.kind == "exhaustive" and space > search.EXHAUSTIVE_GUARD:
+        raise SpaceTooLargeError("over the guard")
+    enumerable = space <= (
+        search.EXHAUSTIVE_GUARD if strategy.kind in ("exhaustive", "hybrid") else strategy.sample_count
+    )
+    if strategy.kind != "greedy_swap" and enumerable:
+        best_val = best_ab = None
+        evals = 0
+        for a in permutations(range(n), depth):
+            for b in permutations(range(n), depth):
+                v = evaluate(a, b)
+                evals += 1
+                if best_val is None or v > best_val:
+                    best_val, best_ab = v, (a, b)
+        return outcome(best_ab[0], best_ab[1], best_val, evals, True)
+
+    rng = np.random.default_rng(strategy.seed)
+    identity = tuple(range(depth))
+    candidates = [(identity, identity)]
+    if strategy.kind != "greedy_swap":
+        for _ in range(strategy.sample_count):
+            sigma = tuple(int(i) for i in rng.permutation(n))
+            tau = tuple(int(i) for i in rng.permutation(n))
+            candidates.append((sigma[:depth], tau[:depth]))
+    evals = 0
+    best_val = full_best = None
+    for a, b in candidates:
+        v = evaluate(a, b)
+        evals += 1
+        if best_val is None or v > best_val:
+            best_val, full_best = v, (full(a, n), full(b, n))
+    if strategy.kind == "random_sample":
+        return outcome(full_best[0][:depth], full_best[1][:depth], best_val, evals, False)
+
+    sigma, tau = full_best
+    for _ in range(strategy.swap_rounds):
+        step_val, step_state = best_val, None
+        for which in (0, 1):
+            base = sigma if which == 0 else tau
+            for i in range(n - 1):
+                trial = list(base)
+                trial[i], trial[i + 1] = trial[i + 1], trial[i]
+                trial = tuple(trial)
+                a = (trial if which == 0 else sigma)[:depth]
+                b = (tau if which == 0 else trial)[:depth]
+                v = evaluate(a, b)
+                evals += 1
+                if v > step_val:
+                    step_val = v
+                    step_state = (trial, tau) if which == 0 else (sigma, trial)
+        if step_state is None:
+            break
+        best_val = step_val
+        sigma, tau = step_state
+    return outcome(sigma[:depth], tau[:depth], best_val, evals, False)
+
+
+def _reference_ik(pair, k, strategy):
+    return _reference_search(pair, k, search._ik_mask(k), strategy, "I", {"k": k})
+
+
+def _reference_spq(pair, p, q, strategy):
+    return _reference_search(pair, p, search._spq_mask(p, q), strategy, "S", {"p": p, "q": q})
+
+
+def _tie_pair():
+    # repeated coordinates: many candidates share the maximum
+    return BoundInputPair.from_vectors([1.0, 1.0, 2.0, 2.0], [1.0, 2.0, 1.0, 2.0])
+
+
+def _random_vectors_pair(seed, n):
+    rng = np.random.default_rng(seed)
+    return BoundInputPair.from_vectors(rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n))
+
+
+def _outcome_fields(out):
+    return (out.best.family, out.best.value, out.best.params, out.evaluations, out.certified_exact)
+
+
+def _assert_same_outcome(got, want):
+    assert _outcome_fields(got) == _outcome_fields(want)
+    assert np.float64(got.best.value).tobytes() == np.float64(want.best.value).tobytes()
+    for key in ("sigma", "tau"):
+        assert all(type(i) is int for i in got.best.params[key])
+
+
+# S (p, q) positions by mask size: (p-1)(p-2)/2 + q terms, from 1 to 21
+_SPQ_CASES = [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 3), (5, 4), (6, 1), (6, 5), (7, 6)]
+
+_SAMPLED = [
+    SearchStrategy(kind="random_sample", seed=3, sample_count=25),
+    SearchStrategy(kind="greedy_swap", seed=4, swap_rounds=6),
+    SearchStrategy(kind="hybrid", seed=5, sample_count=20, swap_rounds=4),
+]
+
+
+def _search_cases():
+    """(pair, strategies) groups: exhaustive only where the scalar loop is quick."""
+    exhaustive = SearchStrategy(kind="exhaustive")
+    enumerating = SearchStrategy(kind="random_sample", seed=1, sample_count=1000)
+    for pair in (small_pair(), _tie_pair(), random_bound_pair(11, 2)):
+        yield pair, [exhaustive, enumerating, *_SAMPLED]
+    yield _random_vectors_pair(12, 5), [exhaustive]  # I_5, S_(5,q): 9 and 10 terms
+    for pair in (random_bound_pair(13, 3), random_bound_pair(14, 4), _random_vectors_pair(15, 12)):
+        yield pair, _SAMPLED
+
+
+def _slow_for_reference(pair, depth, strategy):
+    # the scalar loop takes about 14 us per candidate
+    space = perm(pair.n, depth) ** 2
+    limit = search.EXHAUSTIVE_GUARD if strategy.kind in ("exhaustive", "hybrid") else strategy.sample_count
+    return strategy.kind != "greedy_swap" and 20_000 < space <= limit
+
+
+def test_batched_search_matches_scalar_reference_bitwise():
+    checked = set()
+    for pair, strategies in _search_cases():
+        for strategy in strategies:
+            for k in range(2, min(pair.n, 6) + 1):
+                if _slow_for_reference(pair, k, strategy):
+                    continue
+                try:
+                    want = _reference_ik(pair, k, strategy)
+                except SpaceTooLargeError:
+                    continue
+                _assert_same_outcome(best_ik(pair, k, strategy), want)
+                checked.add((strategy.kind, "I", want.certified_exact))
+            for p, q in _SPQ_CASES:
+                if p > pair.n or _slow_for_reference(pair, p, strategy):
+                    continue
+                try:
+                    want = _reference_spq(pair, p, q, strategy)
+                except SpaceTooLargeError:
+                    continue
+                _assert_same_outcome(best_spq(pair, p, q, strategy), want)
+                checked.add((strategy.kind, "S", want.certified_exact))
+    for kind in ("exhaustive", "random_sample", "hybrid"):
+        assert (kind, "I", True) in checked and (kind, "S", True) in checked
+    for kind in ("random_sample", "greedy_swap", "hybrid"):
+        assert (kind, "I", False) in checked and (kind, "S", False) in checked
+
+
+def _outcomes_for_batch_test():
+    exhaustive = SearchStrategy(kind="exhaustive")
+    hybrid = SearchStrategy(kind="hybrid", seed=2, sample_count=30, swap_rounds=5)
+    outs = [best_ik(small_pair(), 2, exhaustive)]
+    for pair in (_tie_pair(), random_bound_pair(21, 2)):
+        outs += [best_ik(pair, k, exhaustive) for k in (2, 3)]
+        outs += [best_spq(pair, p, q, exhaustive) for p, q in ((2, 1), (4, 2))]
+    pair = random_bound_pair(22, 3)
+    outs += [best_ik(pair, 5, hybrid), best_spq(pair, 6, 5, hybrid)]
+    outs += [best_ik(pair, 4, SearchStrategy(kind="greedy_swap", swap_rounds=5))]
+    return [_outcome_fields(o) for o in outs]
+
+
+@pytest.mark.parametrize("cap", [1, 7])
+def test_batch_boundaries_keep_outcomes(monkeypatch, cap):
+    unpatched = _outcomes_for_batch_test()
+    # the small_pair tie: (sigma, tau) = ((0, 1), (1, 0)) and ((1, 0), (0, 1)) both reach 49
+    assert unpatched[0][2]["sigma"] == (0, 1) and unpatched[0][2]["tau"] == (1, 0)
+    monkeypatch.setattr(search, "_BATCH_ELEMENTS", cap)
+    assert _outcomes_for_batch_test() == unpatched
+
+
+def test_exhaustive_batches_stay_within_cap():
+    # every (n, depth) the guard lets through, with every mask size at that depth;
+    # sizes are computed, nothing of that size is allocated
+    cap = search._BATCH_ELEMENTS
+    checked = 0
+    for n in range(2, 40):
+        for depth in range(2, n + 1):
+            space = perm(n, depth) ** 2
+            if space > search.EXHAUSTIVE_GUARD:
+                break
+            for terms in range((depth - 1) * (depth - 2) // 2 + 1, depth * (depth - 1) // 2 + 1):
+                batches = list(search._batches(space, terms))
+                assert batches[0][0] == 0 and batches[-1][1] == space
+                assert all(hi == next_lo for (_, hi), (next_lo, _) in zip(batches, batches[1:]))
+                largest = max(hi - lo for lo, hi in batches)
+                assert largest * terms <= cap
+                assert largest * depth <= 2 * cap  # the gathered index rows
+                checked += 1
+    assert checked == 74
+
+
+def test_exhaustive_path_scores_the_planned_batches(monkeypatch):
+    seen = []
+    values = search._PrefixObjective.values
+
+    def spy(self, a, b):
+        seen.append((a.shape, b.shape))
+        return values(self, a, b)
+
+    monkeypatch.setattr(search._PrefixObjective, "values", spy)
+    monkeypatch.setattr(search, "_BATCH_ELEMENTS", 1000)
+    pair = random_bound_pair(23, 3)  # n = 9: 72^2 candidates for I_2
+    best_ik(pair, 2, SearchStrategy(kind="exhaustive"))
+    planned = [(hi - lo, 2) for lo, hi in search._batches(72**2, 1)]
+    assert seen == [(shape, shape) for shape in planned]
