@@ -50,18 +50,21 @@ class BoundInputPair:
     """Sampled coordinates of two observables plus their scalar invariants.
 
     product = (sum x^2)(sum y^2); corr_abs_sq = (sum x_i y_i)^2 is the chain
-    terminus and always sits between corr_sq and product.
+    terminus and always sits between corr_sq and product.  corr_sq defaults
+    to corr_abs_sq.
     """
 
     x: np.ndarray
     y: np.ndarray
-    corr_sq: float
+    corr_sq: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", _as_coord_vector(self.x))
         object.__setattr__(self, "y", _as_coord_vector(self.y))
         if self.x.shape != self.y.shape:
             raise ValueError(f"length mismatch: x has {self.x.shape[0]}, y has {self.y.shape[0]}")
+        if self.corr_sq is None:
+            object.__setattr__(self, "corr_sq", self.corr_abs_sq)
         product = self.product
         if not math.isfinite(product):
             raise ValueError("product (sum x^2)(sum y^2) overflows")
@@ -91,11 +94,7 @@ class BoundInputPair:
 
     @classmethod
     def from_vectors(cls, x, y, corr_sq: float | None = None) -> "BoundInputPair":
-        xv = _as_coord_vector(x)
-        yv = _as_coord_vector(y)
-        if corr_sq is None:
-            corr_sq = float(xv @ yv) ** 2
-        return cls(x=xv, y=yv, corr_sq=float(corr_sq))
+        return cls(x=x, y=y, corr_sq=None if corr_sq is None else float(corr_sq))
 
     @classmethod
     def from_observables(

@@ -78,14 +78,15 @@ class EigenDecomposition:
 
 def _fix_column_phases(u: np.ndarray) -> np.ndarray:
     u = np.array(u, copy=True)
-    for col in range(u.shape[1]):
-        v = u[:, col]
-        j = int(np.argmax(np.abs(v)))  # argmax returns the lowest index on ties
-        pivot = v[j]
-        mag = abs(pivot)
-        if mag > 0.0:
-            u[:, col] = v * (pivot.conjugate() / mag)
-            u[j, col] = mag  # exact, kills the O(eps) imaginary residue
+    rows = np.argmax(np.abs(u), axis=0)  # argmax returns the lowest index on ties
+    cols = np.arange(u.shape[1])
+    pivot = u[rows, cols]
+    # hypot, not np.abs: on complex arrays np.abs may differ from the scalar
+    # abs() in the last bit, and these bits feed every factorization.
+    mag = np.hypot(pivot.real, pivot.imag)
+    live = mag > 0.0  # a zero column stays untouched
+    u[:, live] *= pivot[live].conj() / mag[live]
+    u[rows[live], cols[live]] = mag[live]  # exact, kills the O(eps) imaginary residue
     return u
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_bound_pair
+from skewbounds import bounds_product
 from skewbounds import (
     BoundInputPair,
     BoundResult,
@@ -29,6 +30,24 @@ def test_pair_validation():
         BoundInputPair.from_vectors([1.0, 2.0], [1.0])
     with pytest.raises(ValueError):
         BoundInputPair.from_vectors([1.0, 2.0], [3.0, 1.0], corr_sq=1000.0)
+
+
+def test_from_vectors_validates_each_vector_once(monkeypatch):
+    calls = []
+    check = bounds_product._as_coord_vector
+
+    def spy(v):
+        calls.append(v)
+        return check(v)
+
+    monkeypatch.setattr(bounds_product, "_as_coord_vector", spy)
+    x, y = [1.0, 2.0, 0.5], [3.0, 1.0, 2.0]
+    pair = BoundInputPair.from_vectors(x, y)
+    assert calls == [x, y]
+    assert pair.corr_sq == float(np.asarray(x) @ np.asarray(y)) ** 2
+    calls.clear()
+    BoundInputPair.from_vectors(x, y, corr_sq=4)
+    assert calls == [x, y]
 
 
 def test_pair_rejects_non_finite_inputs():

@@ -1,3 +1,5 @@
+from itertools import product as iter_product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,8 +27,10 @@ from skewbounds import (
     variance,
     wyd_kernel,
 )
-from skewbounds.errors import NotHermitianError
-from skewbounds.metric import PAULI_X, PAULI_Y, PAULI_Z
+from skewbounds import metric, numerics
+from skewbounds.errors import CrossCheckError, NotHermitianError
+from skewbounds.metric import CROSS_CHECK_TOL, PAULI_X, PAULI_Y, PAULI_Z
+from skewbounds.numerics import mat_pow
 
 # I(diag(3/4, 1/4), sigma_x, p=1/2) worked out by hand from the kernel sum
 QUBIT_SKEW_ORACLE = 0.13397459621556132
@@ -109,6 +113,90 @@ def test_gamma_is_hermitian_psd_and_factored():
         assert float(w.min()) >= -1e-8 * scale
         c = gf.factor_c
         assert float(np.abs(c.conj().T @ c - g).max()) < 1e-9 * scale
+
+
+def reference_gamma_by_commutators(rho, p):
+    """Entry (ij),(kl) = -1/2 Tr([rho^p, E_ji] [rho^(1-p), E_kl]), one basis matrix at a time."""
+    d = rho.dim
+    n = d * d
+    rp = mat_pow(rho.matrix, p)
+    rq = mat_pow(rho.matrix, 1.0 - p)
+    comm_p = np.empty((n, d, d), dtype=np.complex128)
+    comm_q = np.empty((n, d, d), dtype=np.complex128)
+    basis = np.zeros((d, d), dtype=np.complex128)
+    for a, (i, j) in enumerate(iter_product(range(d), range(d))):
+        basis[j, i] = 1.0
+        comm_p[a] = rp @ basis - basis @ rp
+        basis[j, i] = 0.0
+        basis[i, j] = 1.0
+        comm_q[a] = rq @ basis - basis @ rq
+        basis[i, j] = 0.0
+    return -0.5 * np.einsum("aij,bji->ab", comm_p, comm_q)
+
+
+def test_closed_form_commutator_gamma_matches_reference():
+    rng = np.random.default_rng(91)
+    for dim in range(1, 7):
+        v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        for rho in (random_density(rng, dim), pure_state(v, normalize=True)):
+            for p in (1e-3, 0.05, 0.5, random_p(rng), 0.95, 1.0 - 1e-3):
+                ref = reference_gamma_by_commutators(rho, p)
+                spectrum = metric._spectrum(rho)
+                closed = metric._gamma_by_commutators(*metric._power_pair(rho, spectrum, p))
+                scale = 1.0 + float(np.abs(ref).max())
+                assert float(np.abs(closed - ref).max()) <= 1e-13 * scale, (dim, p)
+
+
+def test_cross_check_raises_on_disagreement(monkeypatch):
+    # rho is diagonal, so Gamma is diagonal with entries h(lam_i, lam_j) and
+    # moving the (01),(10) entry and its mirror keeps it Hermitian and PSD.
+    rho = validate_density(np.diag([0.5, 0.3, 0.2]))
+    kernel = metric._gamma_by_kernel
+
+    def moved_entry(*args):
+        gamma = kernel(*args)
+        shift = 1e-6 * (1.0 + float(np.abs(gamma).max()))
+        gamma[1, 3] += shift
+        gamma[3, 1] += shift
+        return gamma
+
+    monkeypatch.setattr(metric, "_gamma_by_kernel", moved_entry)
+    assert 1e-6 > CROSS_CHECK_TOL
+    with pytest.raises(CrossCheckError):
+        gamma_matrix(rho, 0.3)
+    gf = gamma_matrix(rho, 0.3, cross_check=False)
+    assert gf.gamma[1, 3] != 0.0
+
+
+def test_cross_check_leaves_outputs_bitwise():
+    rng = np.random.default_rng(95)
+    for dim in (2, 3, 5):
+        rho = random_density(rng, dim)
+        p = random_p(rng)
+        checked = gamma_matrix(rho, p, cross_check=True)
+        unchecked = gamma_matrix(rho, p, cross_check=False)
+        assert checked.gamma.tobytes() == unchecked.gamma.tobytes()
+        assert checked.factor_c.tobytes() == unchecked.factor_c.tobytes()
+
+
+def test_gamma_build_decomposes_rho_once(monkeypatch):
+    calls = []
+    herm_eig = numerics.herm_eig
+
+    def spy(m, *args, **kwargs):
+        calls.append(np.asarray(m).shape[0])
+        return herm_eig(m, *args, **kwargs)
+
+    rho = random_density(np.random.default_rng(97), 3)
+    obs = random_observable(np.random.default_rng(98), 3)
+    monkeypatch.setattr(numerics, "herm_eig", spy)
+    monkeypatch.setattr(metric, "herm_eig", spy)
+    gamma_matrix(rho, 0.4, cross_check=True)
+    assert calls == [3, 9]  # rho, then Gamma in psd_sqrt_factor
+    calls.clear()
+    skew_info_direct(rho, obs, 0.4)
+    correlation(rho, obs, obs, 0.4)
+    assert calls == [3, 3]
 
 
 def test_gamma_fingerprint_tracks_inputs():

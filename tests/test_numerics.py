@@ -3,6 +3,7 @@ import pytest
 
 from skewbounds.errors import NotHermitianError, NotPSDError
 from skewbounds.numerics import (
+    _fix_column_phases,
     as_complex_matrix,
     clamp_psd_spectrum,
     commutator,
@@ -63,6 +64,51 @@ def test_herm_eig_pauli_x_oracle():
     assert np.allclose(eig.eigenvalues, [1.0, -1.0], atol=1e-14)
     # phase convention pins the largest-modulus entry real positive
     assert np.allclose(eig.eigenvectors, [[s, s], [s, -s]], atol=1e-14)
+
+
+def reference_fix_column_phases(u):
+    """The per-column loop the vectorized phase fix must match bit for bit."""
+    u = np.array(u, copy=True)
+    for col in range(u.shape[1]):
+        v = u[:, col]
+        j = int(np.argmax(np.abs(v)))
+        pivot = v[j]
+        mag = abs(pivot)
+        if mag > 0.0:
+            u[:, col] = v * (pivot.conjugate() / mag)
+            u[j, col] = mag
+    return u
+
+
+def test_fix_column_phases_matches_loop_bitwise():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 5, 9, 16, 36, 144):
+        for kind in ("complex", "real", "unitary", "zero_columns"):
+            u = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            if kind == "real":
+                u = u.real.astype(np.complex128)
+            elif kind == "unitary":
+                u = np.linalg.qr(u)[0]
+            elif kind == "zero_columns":
+                u[:, rng.integers(n)] = 0.0
+                u[:, 0] = -0.0
+            out = _fix_column_phases(u)
+            assert out.tobytes() == reference_fix_column_phases(u).tobytes(), (n, kind)
+
+
+def test_fix_column_phases_ties_and_zero_columns():
+    u = np.array(
+        [[3j, 0.0, -2.0], [-3.0, 0.0, 2j], [1.0, 0.0, 1.0]], dtype=np.complex128
+    )
+    out = _fix_column_phases(u)
+    assert out.tobytes() == reference_fix_column_phases(u).tobytes()
+    # the first of the tied largest entries is the one made real positive
+    assert out[0, 0] == 3.0 and out[1, 0] == 3j
+    assert out[0, 2] == 2.0 and out[1, 2] == -2j
+    # a zero column, including the sign of its zeros, is left as it was
+    assert np.array_equal(out[:, 1], u[:, 1])
+    neg = np.full((2, 1), -0.0, dtype=np.complex128)
+    assert np.signbit(_fix_column_phases(neg).real).all()
 
 
 def test_herm_eig_deterministic_bits():
