@@ -92,22 +92,34 @@ def bound_b2_cell(x: SampledMatrix, cell1: Cell, cell2: Cell) -> BoundResult:
     return BoundResult(family="B2", value=float(value), params={"cells": (c1, c2)})
 
 
+# Cap on the cell pairs scored in one block of bound_b2_max; the block's
+# arrays then take a few hundred KB, and no (mn) x (mn) array is formed.
+_B2_BLOCK_PAIRS = 2**14
+
+
 def bound_b2_max(x: SampledMatrix) -> BoundResult:
     """Sharpest two-cell bound: exhaustive over unordered cell pairs.
 
-    Ties go to the lexicographically smallest cell pair.
+    Cells are numbered row-major, and pairs (i, j), i < j, are scored in
+    lexicographic order, in blocks of whole rows i.  The first minimum within
+    a block and a strict < across blocks let the lexicographically smallest
+    cell pair win ties, as scoring the pairs one at a time would.
     """
     if x.m * x.n < 2:
         raise ValueError("need at least two cells")
     flat = x.values.reshape(-1)
-    cells = [(r + 1, c + 1) for r in range(x.m) for c in range(x.n)]
-    best_gap = None
-    best_cells = None
-    for (i, ci), (j, cj) in combinations(enumerate(cells), 2):
-        gap = (flat[i] - flat[j]) ** 2
-        if best_gap is None or gap < best_gap:  # strict: first minimum is lex smallest
-            best_gap = gap
-            best_cells = (ci, cj)
+    cells = flat.size
+    step = max(1, _B2_BLOCK_PAIRS // cells)
+    best_gap = best_pair = None
+    for lo in range(0, cells - 1, step):
+        # every pair (i, j) with lo <= i < lo + step and i < j, in lexicographic order
+        i, j = np.nonzero(np.arange(cells) > np.arange(lo, min(lo + step, cells - 1))[:, None])
+        i += lo
+        gaps = (flat[i] - flat[j]) ** 2
+        t = int(np.argmin(gaps))
+        if best_gap is None or gaps[t] < best_gap:  # strict: an earlier block keeps a tie
+            best_gap, best_pair = gaps[t], (int(i[t]), int(j[t]))
+    best_cells = tuple((c // x.n + 1, c % x.n + 1) for c in best_pair)
     value = x.total - best_gap
     return BoundResult(family="B2", value=float(value), params={"cells": best_cells})
 

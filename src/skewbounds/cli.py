@@ -373,16 +373,23 @@ def _reproduce_example2(steps: int) -> tuple[dict, list[str]]:
 
 def _reproduce_sum_example(number: int, steps: int, named_cells) -> tuple[dict, list[str]]:
     scenario = builtin_example(number)
-    sweep = run_sweep(scenario, steps=steps, bounds=["total", "B2", "LMa"])
-    cols = dict(sweep.columns)
-    # named two-cell bounds and the true argmax at each point of the sweep
+    sweep = run_sweep(scenario, steps=steps, bounds=["total", "LMa"])
+    # B2, the named two-cell bounds and the true argmax at each point of the
+    # sweep, from one bound_b2_max call per point
+    b2_series = []
     named_series = {cells: [] for cells in named_cells}
     argmax_counts: dict = {}
     for samples in sweep.samples:
         for cells in named_cells:
             named_series[cells].append(bound_b2_cell(samples, *cells).value)
         best = bound_b2_max(samples)
+        b2_series.append(best.value)
         argmax_counts[best.params["cells"]] = argmax_counts.get(best.params["cells"], 0) + 1
+    cols = {}
+    for name, column in sweep.columns.items():
+        cols[name] = column
+        if name == "total":  # the column order of bounds=["total", "B2", "LMa"]
+            cols["B2"] = np.array(b2_series)
     for cells, series in named_series.items():
         label = f"B2_{cells[0]}{cells[1]}".replace(" ", "")
         cols[label] = np.array(series)

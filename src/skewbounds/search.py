@@ -8,6 +8,12 @@ greedy adjacent-transposition hill climbing takes over.  Every search seeds
 its candidate list with the identity, so the returned best is never worse
 than the unpermuted bound.  Candidates are scored in numpy batches of
 bounded size, with the same bits and tie-breaks as one at a time.
+
+Before any of that, an O(n) certificate looks for prefixes made of exact
+zero coordinates.  Every candidate's value is the product minus a sum of
+squares, so a pair of prefixes that zeroes every term attains the product,
+the maximum.  Coordinates sampled from Gamma have such zeros: the kernel of
+Gamma holds every matrix diagonal in rho's eigenbasis.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb, perm
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -127,13 +133,54 @@ def _stacked(a: np.ndarray, b: np.ndarray) -> _Rows:
     return lambda lo, hi: (a[lo:hi], b[lo:hi])
 
 
-def _swapped(order: np.ndarray) -> np.ndarray:
-    """Row t is order with positions t and t + 1 exchanged, t = 0..n-2."""
-    t = np.arange(order.size - 1)
-    trials = np.tile(order, (order.size - 1, 1))
-    trials[t, t] = order[1:]
-    trials[t, t + 1] = order[:-1]
+def _swapped(order: np.ndarray, count: int) -> np.ndarray:
+    """Row t is order with positions t and t + 1 exchanged, t = 0..count-1."""
+    t = np.arange(count)
+    trials = np.tile(order, (count, 1))
+    trials[t, t] = order[1 : count + 1]
+    trials[t, t + 1] = order[:count]
     return trials
+
+
+class _Found(NamedTuple):
+    """Best prefixes a (for x) and b (for y), their value, and the search cost."""
+
+    a: list[int]
+    b: list[int]
+    value: float
+    evaluations: int
+    certified_exact: bool
+
+
+def _zero_prefix_witness(x: np.ndarray, y: np.ndarray, depth: int) -> tuple[list[int], list[int]] | None:
+    """Prefixes of length depth whose every cross term is exactly zero, or None.
+
+    A term x_a[i] y_b[j] - x_a[j] y_b[i] of the leading depth x depth block
+    vanishes when both x factors are zero, when both y factors are zero, or
+    when x_a and y_b are zero at both of its positions but the last one.
+    With z_x and z_y exact zeros in x and y, that gives three witnesses:
+
+      z_x >= depth        sigma starts with the first depth zeros of x,
+                          tau is the identity;
+      z_y >= depth        the mirror case;
+      both >= depth - 1   sigma and tau start with the first depth - 1
+                          zeros of x and of y.
+
+    Each prefix is completed in index order, as _full_perm completes it.
+    """
+    zx, zy = np.flatnonzero(x == 0.0), np.flatnonzero(y == 0.0)
+    identity = list(range(depth))
+    if zx.size >= depth:
+        return zx[:depth].tolist(), identity
+    if zy.size >= depth:
+        return identity, zy[:depth].tolist()
+    if min(zx.size, zy.size) >= depth - 1:
+        n = x.size
+        return (
+            list(_full_perm(zx[: depth - 1].tolist(), n)[:depth]),
+            list(_full_perm(zy[: depth - 1].tolist(), n)[:depth]),
+        )
+    return None
 
 
 def _search_prefix(
@@ -144,31 +191,49 @@ def _search_prefix(
     family: str,
     base_params: dict,
 ) -> SearchOutcome:
-    """Shared engine for I_k and S_(p,q) permutation search.
+    """Shared I_k and S_(p,q) permutation search: guard, certificate, engine.
 
     depth is how many leading positions of each permutation the objective
-    reads; pair_mask selects which cross terms are subtracted.  Candidates are
-    scored in bounded batches, and each path keeps the first maximum in the
-    order it lists its candidates.
+    reads; pair_mask selects which cross terms are subtracted.  Every
+    candidate's value is product minus a sum of squares, so a witness whose
+    value is exactly the product is a certified maximum after one
+    evaluation.  Without one, _search_engine runs.
     """
     n = pair.n
-    objective = _PrefixObjective(pair, pair_mask)
     space = perm(n, depth) ** 2
-
-    def outcome(a, b, value, evals, certified) -> SearchOutcome:
-        params = dict(base_params)
-        params["sigma"] = _full_perm(a, n)
-        params["tau"] = _full_perm(b, n)
-        return SearchOutcome(
-            best=BoundResult(family=family, value=value, params=params),
-            evaluations=evals,
-            certified_exact=certified,
-        )
-
     if strategy.kind == "exhaustive" and space > EXHAUSTIVE_GUARD:
         raise SpaceTooLargeError(
             f"exhaustive search over {space} candidates exceeds the {EXHAUSTIVE_GUARD} guard"
         )
+    objective = _PrefixObjective(pair, pair_mask)
+    found = None
+    witness = _zero_prefix_witness(pair.x, pair.y, depth)
+    if witness is not None:
+        a, b = witness
+        value = float(objective.values(np.array([a]), np.array([b]))[0])
+        if value == pair.product:  # checked bit for bit, not assumed
+            found = _Found(a, b, value, 1, True)
+    if found is None:
+        found = _search_engine(objective, depth, strategy)
+    params = dict(base_params)
+    params["sigma"] = _full_perm(found.a, n)
+    params["tau"] = _full_perm(found.b, n)
+    return SearchOutcome(
+        best=BoundResult(family=family, value=found.value, params=params),
+        evaluations=found.evaluations,
+        certified_exact=found.certified_exact,
+    )
+
+
+def _search_engine(objective: _PrefixObjective, depth: int, strategy: SearchStrategy) -> _Found:
+    """Enumeration, or sampling and hill climbing, over prefix pairs.
+
+    The caller has applied the exhaustive guard.  Candidates are scored in
+    bounded batches, and each path keeps the first maximum in the order it
+    lists its candidates.
+    """
+    n = objective.x.size
+    space = perm(n, depth) ** 2
 
     enumerable = space <= (
         EXHAUSTIVE_GUARD if strategy.kind in ("exhaustive", "hybrid") else strategy.sample_count
@@ -184,7 +249,7 @@ def _search_prefix(
 
         best, value = objective.first_max(rows, space)
         a, b = divmod(best, len(prefixes))
-        return outcome(prefixes[a].tolist(), prefixes[b].tolist(), value, space, True)
+        return _Found(prefixes[a].tolist(), prefixes[b].tolist(), value, space, True)
 
     # the identity first, then one sigma and one tau draw per sample
     rng = np.random.default_rng(strategy.seed)
@@ -197,31 +262,41 @@ def _search_prefix(
         b[i] = rng.permutation(n)[:depth]
     best, best_val = objective.first_max(_stacked(a, b), evals)
     if strategy.kind == "random_sample":
-        return outcome(a[best].tolist(), b[best].tolist(), best_val, evals, False)
+        return _Found(a[best].tolist(), b[best].tolist(), best_val, evals, False)
 
     # steepest-ascent hill climbing over adjacent transpositions, from the
-    # best candidate completed in index order: trials 0..n-2 swap within
-    # sigma, trials n-1..2n-3 within tau
+    # best candidate completed in index order.  A swap at t >= depth leaves
+    # both prefixes as they are, so only t < m = min(depth, n - 1) is scored:
+    # trials 0..m-1 swap within sigma, trials m..2m-1 within tau
+    m = min(depth, n - 1)
     sigma = np.array(_full_perm(a[best].tolist(), n))
     tau = np.array(_full_perm(b[best].tolist(), n))
     for _ in range(strategy.swap_rounds):
-        sigma_trials, tau_trials = _swapped(sigma), _swapped(tau)
-        a = np.concatenate([sigma_trials[:, :depth], np.tile(sigma[:depth], (n - 1, 1))])
-        b = np.concatenate([np.tile(tau[:depth], (n - 1, 1)), tau_trials[:, :depth]])
-        step, step_val = objective.first_max(_stacked(a, b), 2 * (n - 1))
-        evals += 2 * (n - 1)
+        sigma_trials, tau_trials = _swapped(sigma, m), _swapped(tau, m)
+        a = np.concatenate([sigma_trials[:, :depth], np.tile(sigma[:depth], (m, 1))])
+        b = np.concatenate([np.tile(tau[:depth], (m, 1)), tau_trials[:, :depth]])
+        step, step_val = objective.first_max(_stacked(a, b), 2 * m)
+        evals += 2 * m
         if not step_val > best_val:
             break
         best_val = step_val
-        if step < n - 1:
+        if step < m:
             sigma = sigma_trials[step]
         else:
-            tau = tau_trials[step - (n - 1)]
-    return outcome(sigma[:depth].tolist(), tau[:depth].tolist(), best_val, evals, False)
+            tau = tau_trials[step - m]
+    return _Found(sigma[:depth].tolist(), tau[:depth].tolist(), best_val, evals, False)
 
 
 def best_ik(pair: BoundInputPair, k: int, strategy: SearchStrategy = SearchStrategy()) -> SearchOutcome:
-    """Maximize the permuted leading-block bound over index pairings."""
+    """Maximize the permuted leading-block bound over index pairings.
+
+    With z_x and z_y exact zeros in x and y, the maximum is the product
+    whenever max(z_x, z_y) >= k or min(z_x, z_y) >= k - 1.  Such a result is
+    returned after one evaluation (evaluations=1, certified_exact=True),
+    with the witness of _zero_prefix_witness as sigma and tau: the first k
+    zeros of x and the identity, the mirror case, or the first k - 1 zeros
+    of each.  Otherwise the strategy's search runs.
+    """
     if not 1 <= k <= pair.n:
         raise ValueError(f"k must lie in 1..{pair.n}, got {k}")
     if k == 1:
@@ -233,7 +308,11 @@ def best_ik(pair: BoundInputPair, k: int, strategy: SearchStrategy = SearchStrat
 def best_spq(
     pair: BoundInputPair, p_idx: int, q_idx: int, strategy: SearchStrategy = SearchStrategy()
 ) -> SearchOutcome:
-    """Maximize the permuted chain bound at pair position (p_idx, q_idx)."""
+    """Maximize the permuted chain bound at pair position (p_idx, q_idx).
+
+    Its terms are a subset of the I_p block, so the zero-prefix certificate
+    of best_ik with k = p_idx applies unchanged.
+    """
     if (p_idx, q_idx) == (1, 0):
         best = BoundResult(family="S", value=pair.product, params={"p": 1, "q": 0, "sigma": tuple(range(pair.n)), "tau": tuple(range(pair.n))})
         return SearchOutcome(best=best, evaluations=1, certified_exact=True)

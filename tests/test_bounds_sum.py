@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_observable, random_p
+from skewbounds import bounds_sum
 from skewbounds import (
     SampledMatrix,
     bound_b2_cell,
@@ -114,3 +116,56 @@ def test_bound_lma_two_rows_is_parallelogram():
 def test_bound_lma_needs_two_rows():
     with pytest.raises(ValueError):
         bound_lma(grid([[1.0, 2.0]]))
+
+
+def _reference_b2_max(x):
+    """The pairwise loop bound_b2_max must match: first minimum in lexicographic order."""
+    flat = x.values.reshape(-1)
+    cells = [(r + 1, c + 1) for r in range(x.m) for c in range(x.n)]
+    best_gap = best_cells = None
+    for (i, ci), (j, cj) in combinations(enumerate(cells), 2):
+        gap = (flat[i] - flat[j]) ** 2
+        if best_gap is None or gap < best_gap:
+            best_gap, best_cells = gap, (ci, cj)
+    return float(x.total - best_gap), best_cells
+
+
+def _b2_cases():
+    rng = np.random.default_rng(29)
+    yield grid([[0.0, 1.0], [1.0, 0.0]])  # exact ties
+    yield grid([[2.0, 2.0, 2.0]])
+    yield grid([[5.0], [1.0]])
+    yield grid([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0], [4.0, 0.0, 5.0]])  # planted zeros
+    yield grid([[3.0, 5.0, 5.0], [1e-200, 0.0, 4.0]])  # (1e-200)^2 rounds to 0: a tie by rounding
+    for shape in [(1, 2), (2, 7), (3, 9), (4, 9), (4, 36), (5, 13)]:
+        yield grid(rng.uniform(0.0, 2.0, size=shape))
+        # decimal steps: many distinct cell pairs share the smallest gap
+        yield grid(rng.integers(0, 12, size=shape) / 10.0)
+        planted = rng.uniform(0.0, 2.0, size=shape)
+        planted[:, rng.integers(0, shape[1], size=2)] = 0.0
+        yield grid(planted)
+    rho = random_density(rng, 3)
+    gf = gamma_matrix(rho, random_p(rng))
+    yield sampled_matrix(gf, [random_observable(rng, 3, name) for name in "ABCD"])
+
+
+@pytest.mark.parametrize("cap", [None, 1, 7, 64])
+def test_bound_b2_max_matches_pairwise_loop_bitwise(monkeypatch, cap):
+    if cap is not None:
+        monkeypatch.setattr(bounds_sum, "_B2_BLOCK_PAIRS", cap)
+    for x in _b2_cases():
+        value, cells = _reference_b2_max(x)
+        got = bound_b2_max(x)
+        assert np.float64(got.value).tobytes() == np.float64(value).tobytes()
+        assert got.params["cells"] == cells
+        assert all(type(i) is int for cell in cells for i in cell)
+
+
+def test_bound_b2_max_tie_by_rounding_keeps_lexicographic_pair(monkeypatch):
+    # the gap of (1,1),(1,2) is 1e-200 and squares to 0.0, tying the exact 0 of (2,1),(2,2)
+    m = grid([[1e-200, 0.0], [7.0, 7.0]])
+    for cap in (1, 2**14):
+        monkeypatch.setattr(bounds_sum, "_B2_BLOCK_PAIRS", cap)
+        best = bound_b2_max(m)
+        assert best.value == m.total
+        assert best.params["cells"] == ((1, 1), (1, 2))

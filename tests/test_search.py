@@ -61,7 +61,7 @@ def test_best_ik_identity_always_seeded():
     for seed in (5, 6):
         pair = random_bound_pair(seed, 3)
         strat = SearchStrategy(kind="random_sample", seed=seed, sample_count=3)
-        out = best_ik(pair, 4, strat)
+        out = _engine_ik(pair, 4, strat)
         assert out.best.value >= bound_ik(pair, 4).value - 1e-12
 
 
@@ -81,8 +81,8 @@ def test_random_sample_enumerates_small_spaces():
 def test_greedy_swap_deterministic():
     pair = random_bound_pair(31, 3)
     strat = SearchStrategy(kind="greedy_swap", seed=4, sample_count=50, swap_rounds=20)
-    a = best_ik(pair, 3, strat)
-    b = best_ik(pair, 3, strat)
+    a = _engine_ik(pair, 3, strat)
+    b = _engine_ik(pair, 3, strat)
     assert a.best.value == b.best.value
     assert a.best.params == b.best.params
     assert a.best.value >= bound_ik(pair, 3).value - 1e-12
@@ -126,6 +126,23 @@ def test_best_over_family():
 
 
 # --- the scalar search the batched engine must match bit for bit ----------
+#
+# Pairs built from Gamma have exact zeros, so best_ik and best_spq certify
+# most of them before any search; these tests call the engine itself.
+
+
+def _engine(pair, depth, pair_mask, strategy, family, base_params):
+    found = search._search_engine(search._PrefixObjective(pair, pair_mask), depth, strategy)
+    params = dict(base_params, sigma=search._full_perm(found.a, pair.n), tau=search._full_perm(found.b, pair.n))
+    return search.SearchOutcome(BoundResult(family, found.value, params), found.evaluations, found.certified_exact)
+
+
+def _engine_ik(pair, k, strategy):
+    return _engine(pair, k, search._ik_mask(k), strategy, "I", {"k": k})
+
+
+def _engine_spq(pair, p, q, strategy):
+    return _engine(pair, p, search._spq_mask(p, q), strategy, "S", {"p": p, "q": q})
 
 
 def _reference_value(pair, a, b, pair_mask):
@@ -137,7 +154,12 @@ def _reference_value(pair, a, b, pair_mask):
 
 
 def _reference_search(pair, depth, pair_mask, strategy, family, base_params):
-    """One Python call per candidate, in the order the search lists them."""
+    """One Python call per candidate, in the order the search lists them.
+
+    The climb scores every adjacent swap, but counts as evaluations only the
+    swaps at t < min(depth, n - 1): the others leave both prefixes unchanged,
+    and the engine does not score them.
+    """
     n = pair.n
     space = perm(n, depth) ** 2
 
@@ -197,7 +219,7 @@ def _reference_search(pair, depth, pair_mask, strategy, family, base_params):
                 a = (trial if which == 0 else sigma)[:depth]
                 b = (tau if which == 0 else trial)[:depth]
                 v = evaluate(a, b)
-                evals += 1
+                evals += i < min(depth, n - 1)
                 if v > step_val:
                     step_val = v
                     step_state = (trial, tau) if which == 0 else (sigma, trial)
@@ -276,7 +298,7 @@ def test_batched_search_matches_scalar_reference_bitwise():
                     want = _reference_ik(pair, k, strategy)
                 except SpaceTooLargeError:
                     continue
-                _assert_same_outcome(best_ik(pair, k, strategy), want)
+                _assert_same_outcome(_engine_ik(pair, k, strategy), want)
                 checked.add((strategy.kind, "I", want.certified_exact))
             for p, q in _SPQ_CASES:
                 if p > pair.n or _slow_for_reference(pair, p, strategy):
@@ -285,7 +307,7 @@ def test_batched_search_matches_scalar_reference_bitwise():
                     want = _reference_spq(pair, p, q, strategy)
                 except SpaceTooLargeError:
                     continue
-                _assert_same_outcome(best_spq(pair, p, q, strategy), want)
+                _assert_same_outcome(_engine_spq(pair, p, q, strategy), want)
                 checked.add((strategy.kind, "S", want.certified_exact))
     for kind in ("exhaustive", "random_sample", "hybrid"):
         assert (kind, "I", True) in checked and (kind, "S", True) in checked
@@ -296,13 +318,13 @@ def test_batched_search_matches_scalar_reference_bitwise():
 def _outcomes_for_batch_test():
     exhaustive = SearchStrategy(kind="exhaustive")
     hybrid = SearchStrategy(kind="hybrid", seed=2, sample_count=30, swap_rounds=5)
-    outs = [best_ik(small_pair(), 2, exhaustive)]
+    outs = [_engine_ik(small_pair(), 2, exhaustive)]
     for pair in (_tie_pair(), random_bound_pair(21, 2)):
-        outs += [best_ik(pair, k, exhaustive) for k in (2, 3)]
-        outs += [best_spq(pair, p, q, exhaustive) for p, q in ((2, 1), (4, 2))]
+        outs += [_engine_ik(pair, k, exhaustive) for k in (2, 3)]
+        outs += [_engine_spq(pair, p, q, exhaustive) for p, q in ((2, 1), (4, 2))]
     pair = random_bound_pair(22, 3)
-    outs += [best_ik(pair, 5, hybrid), best_spq(pair, 6, 5, hybrid)]
-    outs += [best_ik(pair, 4, SearchStrategy(kind="greedy_swap", swap_rounds=5))]
+    outs += [_engine_ik(pair, 5, hybrid), _engine_spq(pair, 6, 5, hybrid)]
+    outs += [_engine_ik(pair, 4, SearchStrategy(kind="greedy_swap", swap_rounds=5))]
     return [_outcome_fields(o) for o in outs]
 
 
@@ -347,6 +369,103 @@ def test_exhaustive_path_scores_the_planned_batches(monkeypatch):
     monkeypatch.setattr(search._PrefixObjective, "values", spy)
     monkeypatch.setattr(search, "_BATCH_ELEMENTS", 1000)
     pair = random_bound_pair(23, 3)  # n = 9: 72^2 candidates for I_2
-    best_ik(pair, 2, SearchStrategy(kind="exhaustive"))
+    _engine_ik(pair, 2, SearchStrategy(kind="exhaustive"))
     planned = [(hi - lo, 2) for lo, hi in search._batches(72**2, 1)]
     assert seen == [(shape, shape) for shape in planned]
+
+
+# --- the zero-prefix certificate ---------------------------------------------
+
+_ALL_STRATEGIES = [SearchStrategy(kind="exhaustive"), *_SAMPLED]
+
+# planted zeros at n = 6, one pair per witness branch: (x, y, sigma, tau) for depth 3
+_WITNESS_CASES = [
+    # z_x = 3 >= 3: the first three zeros of x, tau the identity
+    ([0.0, 1.0, 0.0, 2.0, 0.0, 3.0], [1.0, 2.0, 0.0, 4.0, 5.0, 6.0], (0, 2, 4, 1, 3, 5), (0, 1, 2, 3, 4, 5)),
+    # z_x = 1, z_y = 4 >= 3: the mirror case
+    ([1.0, 2.0, 3.0, 0.0, 5.0, 6.0], [2.0, 0.0, 0.0, 1.0, 0.0, 0.0], (0, 1, 2, 3, 4, 5), (1, 2, 4, 0, 3, 5)),
+    # z_x = z_y = 2 = depth - 1: two zeros of each, then the smallest unused index
+    ([1.0, 0.0, 2.0, 0.0, 3.0, 4.0], [0.0, 1.0, 0.0, 2.0, 3.0, 5.0], (1, 3, 0, 2, 4, 5), (0, 2, 1, 3, 4, 5)),
+]
+
+
+@pytest.mark.parametrize("x, y, sigma, tau", _WITNESS_CASES)
+def test_zero_prefix_certificate_witness_branches(x, y, sigma, tau):
+    pair = BoundInputPair.from_vectors(x, y)
+    for strategy in _ALL_STRATEGIES:
+        for out in (best_ik(pair, 3, strategy), best_spq(pair, 3, 1, strategy), best_spq(pair, 3, 2, strategy)):
+            assert out.certified_exact
+            assert out.evaluations == 1
+            assert np.float64(out.best.value).tobytes() == np.float64(pair.product).tobytes()
+            assert out.best.params["sigma"] == sigma and out.best.params["tau"] == tau
+            assert all(type(i) is int for i in sigma + tau)
+
+
+def test_certificate_value_equals_exhaustive_maximum_bitwise():
+    # Gamma-derived pairs at d = 2 carry two exact zeros in x and in y
+    checked = 0
+    for seed in (41, 42, 43):
+        pair = random_bound_pair(seed, 2)
+        exhaustive = SearchStrategy(kind="exhaustive")
+        for k in (2, 3):
+            got = best_ik(pair, k, exhaustive)
+            want = _reference_ik(pair, k, exhaustive)
+            assert got.evaluations == 1 and got.certified_exact and want.certified_exact
+            assert np.float64(got.best.value).tobytes() == np.float64(want.best.value).tobytes()
+            checked += 1
+        for p, q in ((2, 1), (3, 1), (3, 2)):
+            got = best_spq(pair, p, q, exhaustive)
+            want = _reference_spq(pair, p, q, exhaustive)
+            assert got.evaluations == 1 and got.certified_exact
+            assert np.float64(got.best.value).tobytes() == np.float64(want.best.value).tobytes()
+            checked += 1
+    assert checked == 15
+
+
+def test_near_miss_goes_to_the_engine_unchanged():
+    # depth 4 with z_x = 2 = depth - 2 and z_y = 3 < depth: no witness
+    pair = BoundInputPair.from_vectors([0.0, 1.0, 0.0, 2.0, 3.0, 4.0], [5.0, 0.0, 1.0, 0.0, 2.0, 0.0])
+    assert search._zero_prefix_witness(pair.x, pair.y, 4) is None
+    for strategy in _ALL_STRATEGIES:
+        _assert_same_outcome(best_ik(pair, 4, strategy), _engine_ik(pair, 4, strategy))
+        _assert_same_outcome(best_spq(pair, 4, 2, strategy), _engine_spq(pair, 4, 2, strategy))
+    # one depth lower the same pair is certified
+    assert best_ik(pair, 3, _SAMPLED[1]).evaluations == 1
+
+
+def test_witness_below_product_falls_through_to_the_engine(monkeypatch):
+    # a witness is scored, not trusted: one whose value is below the product is ignored
+    pair = _random_vectors_pair(17, 6)
+    monkeypatch.setattr(search, "_zero_prefix_witness", lambda x, y, depth: (list(range(depth)), list(range(depth))))
+    for strategy in _ALL_STRATEGIES:
+        out = best_ik(pair, 3, strategy)
+        assert out.best.value < pair.product
+        _assert_same_outcome(out, _engine_ik(pair, 3, strategy))
+
+
+def test_exhaustive_guard_checked_before_certificate():
+    # n = 9 with five zeros in each vector: I_4 is certifiable, but P(9, 4)^2 is over the guard
+    x = [0.0, 1.0, 0.0, 2.0, 0.0, 3.0, 0.0, 4.0, 0.0]
+    pair = BoundInputPair.from_vectors(x, x[::-1])
+    assert search._zero_prefix_witness(pair.x, pair.y, 4) is not None
+    with pytest.raises(SpaceTooLargeError):
+        best_ik(pair, 4, SearchStrategy(kind="exhaustive"))
+    with pytest.raises(SpaceTooLargeError):
+        best_spq(pair, 4, 1, SearchStrategy(kind="exhaustive"))
+    assert best_ik(pair, 4, SearchStrategy(kind="hybrid")).evaluations == 1
+
+
+def test_climb_scores_only_swaps_that_move_a_prefix(monkeypatch):
+    seen = []
+    values = search._PrefixObjective.values
+
+    def spy(self, a, b):
+        seen.append(len(a))
+        return values(self, a, b)
+
+    monkeypatch.setattr(search._PrefixObjective, "values", spy)
+    pair = _random_vectors_pair(16, 9)
+    out = _engine_ik(pair, 2, SearchStrategy(kind="greedy_swap", swap_rounds=3))
+    rounds = len(seen) - 1  # the identity, then one batch per round
+    assert rounds >= 1 and seen[1:] == [4] * rounds  # 2 * min(depth, n - 1) trials
+    assert out.evaluations == 1 + 4 * rounds
